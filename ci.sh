@@ -73,6 +73,20 @@ if ! ls target/persp-cache-ci/cell-*.json >/dev/null 2>&1; then
     exit 1
 fi
 
+echo "==> paper-scale byte identity: perfbench --pin vs perfbench/reference/digests.txt"
+# Simulates the benchmark's LEBench and datacenter cell sets once on the
+# paper-scale kernel at its default seed and prints one FNV-1a digest
+# per cell; they must equal the pinned reference line for line. This
+# needs no hardware counters (only the timed benchmark runs do).
+seed=1592597994
+cargo run --release --offline --locked --quiet --manifest-path perfbench/Cargo.toml -- \
+    --pin "$seed" | grep -v '^#' >target/bench-json/perfbench-pin.txt
+if ! grep "^$seed " perfbench/reference/digests.txt | diff -u - target/bench-json/perfbench-pin.txt; then
+    echo "ci: paper-scale cell digests drifted from perfbench/reference/digests.txt" >&2
+    echo "ci: a speed-only change must leave them unchanged (see perfbench/NOTES.md)" >&2
+    exit 1
+fi
+
 echo "==> sni_check smoke run (small kernel): clean + canned fault plans"
 # The binary exits nonzero unless clean Perspective runs show zero SNI
 # violations, the UNSAFE baseline is flagged, the attack scenario leaks

@@ -13,7 +13,7 @@ fn setup() -> (CallGraph, Machine) {
     let mut g = CallGraph::generate(KernelConfig::test_small());
     let text = emit_kernel(&mut g);
     let mut m = Machine::new();
-    m.load_text(text);
+    m.map_text(std::sync::Arc::new(text));
     (g, m)
 }
 

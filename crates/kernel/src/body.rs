@@ -19,6 +19,7 @@ use crate::layout::{
     SYSCALL_TABLE,
 };
 use persp_uarch::isa::{AluOp, Cond, Inst, Width, INST_BYTES};
+use persp_uarch::machine::TextTable;
 
 /// Task-struct field index of the fd-array pointer.
 pub const F_FDARRAY: u8 = 5;
@@ -76,8 +77,9 @@ pub fn body_len(body: &[BodyOp]) -> u32 {
 
 /// Emit the kernel: assigns `entry_va`/`len_insts` on every function,
 /// fills the `va_index`, records gadget sequence addresses, and returns
-/// the full text image (including the entry stub).
-pub fn emit_kernel(graph: &mut CallGraph) -> Vec<(u64, Inst)> {
+/// the full text image (including the entry stub) as a dense table
+/// sized once from the assigned addresses.
+pub fn emit_kernel(graph: &mut CallGraph) -> TextTable {
     // Pass 1: addresses.
     let mut va = FUNCS_BASE;
     for f in &mut graph.funcs {
@@ -90,7 +92,10 @@ pub fn emit_kernel(graph: &mut CallGraph) -> Vec<(u64, Inst)> {
     graph.va_map = std::sync::Arc::new(crate::callgraph::VaFuncMap::build(&graph.funcs));
 
     // Pass 2: emission.
-    let mut text = emit_entry_stub();
+    let mut text = TextTable::new(ENTRY_STUB_VA, va);
+    for (addr, inst) in emit_entry_stub() {
+        text.insert(addr, inst);
+    }
     let entry_vas: Vec<u64> = graph.funcs.iter().map(|f| f.entry_va).collect();
     let ops_table_vas: Vec<u64> = graph
         .ops_table
@@ -111,12 +116,9 @@ pub fn emit_kernel(graph: &mut CallGraph) -> Vec<(u64, Inst)> {
                 op_len(op),
                 "op_len out of sync for {op:?}"
             );
-            text.extend(
-                insts
-                    .into_iter()
-                    .enumerate()
-                    .map(|(k, inst)| (start + k as u64 * INST_BYTES, inst)),
-            );
+            for (k, inst) in insts.into_iter().enumerate() {
+                text.insert(start + k as u64 * INST_BYTES, inst);
+            }
             pc = start + u64::from(op_len(op)) * INST_BYTES;
             if let BodyOp::Gadget(site) = op {
                 gadget_seqs.push((site.bound_ptr_va, start));
@@ -747,7 +749,6 @@ fn emit_op(op: &BodyOp, pc: u64, entry_vas: &[u64], ops_table_vas: &[u64]) -> Ve
 mod tests {
     use super::*;
     use crate::callgraph::{CallGraph, KernelConfig};
-    use std::collections::HashSet;
 
     #[test]
     fn emission_is_consistent_with_lengths() {
@@ -760,11 +761,15 @@ mod tests {
 
     #[test]
     fn no_overlapping_addresses() {
+        // `TextTable::insert` panics on an address placed twice, so a
+        // finished emission has none; every function's slots are filled.
         let mut g = CallGraph::generate(KernelConfig::test_small());
         let text = emit_kernel(&mut g);
-        let mut seen = HashSet::new();
-        for (addr, _) in &text {
-            assert!(seen.insert(*addr), "address {addr:#x} emitted twice");
+        for f in &g.funcs {
+            for k in 0..u64::from(f.len_insts) {
+                let va = f.entry_va + k * INST_BYTES;
+                assert!(text.get(va).is_some(), "{} has a hole at {va:#x}", f.name);
+            }
         }
     }
 

@@ -12,7 +12,7 @@ use crate::mm::{BuddyAllocator, SlabAllocator};
 use crate::sink::{AllocSink, NullSink, Owner};
 use crate::syscalls::Sysno;
 use persp_uarch::hooks::{HookHandler, HookResult};
-use persp_uarch::machine::Machine;
+use persp_uarch::machine::{Machine, TextTable};
 use persp_uarch::Asid;
 use std::cell::RefCell;
 use std::collections::HashMap;
@@ -38,8 +38,9 @@ pub struct KernelImage {
     pub cfg: KernelConfig,
     /// The synthetic call graph (post-emission: addresses assigned).
     pub graph: Arc<CallGraph>,
-    /// The emitted kernel text.
-    pub text: Arc<Vec<(u64, persp_uarch::isa::Inst)>>,
+    /// The emitted kernel text, mapped read-only by every machine the
+    /// kernel is installed into.
+    pub text: Arc<TextTable>,
 }
 
 impl KernelImage {
@@ -80,7 +81,7 @@ pub struct Kernel {
     /// Per-syscall invocation counts (the tracing subsystem's coarse view).
     pub syscall_counts: HashMap<Sysno, u64>,
     sink: SharedSink,
-    text: Arc<Vec<(u64, persp_uarch::isa::Inst)>>,
+    text: Arc<TextTable>,
     next_pid: Pid,
     /// Next free address in the extension-program text region.
     pub(crate) next_ebpf_va: u64,
@@ -142,7 +143,7 @@ impl Kernel {
     /// table, ops tables, boot-time globals, and the shared-region
     /// ownership registrations.
     pub fn install(&self, machine: &mut Machine) {
-        machine.load_text(self.text.iter().copied());
+        machine.map_text(self.text.clone());
         machine.kernel_entry = ENTRY_STUB_VA;
         // Syscall dispatch table.
         for (&sys, &fid) in &self.graph.entries {

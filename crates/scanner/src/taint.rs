@@ -181,7 +181,7 @@ mod tests {
         let mut g = CallGraph::generate(KernelConfig::test_small());
         let text = emit_kernel(&mut g);
         let mut m = Machine::new();
-        m.load_text(text);
+        m.map_text(std::sync::Arc::new(text));
         (g, m)
     }
 

@@ -141,6 +141,22 @@ impl Width {
     }
 }
 
+/// The source registers of one instruction ([`Inst::srcs`]), inline:
+/// no instruction reads more than two. Dereferences to a slice.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Srcs {
+    regs: [Reg; 2],
+    len: u8,
+}
+
+impl std::ops::Deref for Srcs {
+    type Target = [Reg];
+
+    fn deref(&self) -> &[Reg] {
+        &self.regs[..self.len as usize]
+    }
+}
+
 /// One µISA instruction.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Inst {
@@ -281,17 +297,18 @@ impl Inst {
 
     /// Source registers read by this instruction. `r0` appears here like
     /// any other register (it always reads zero and never has a producer).
-    pub fn srcs(&self) -> Vec<Reg> {
-        match *self {
-            Inst::Alu { a, b, .. } => vec![a, b],
-            Inst::AluImm { a, .. } => vec![a],
-            Inst::Load { base, .. } => vec![base],
-            Inst::Store { src, base, .. } => vec![src, base],
-            Inst::Branch { a, b, .. } => vec![a, b],
-            Inst::JumpInd { base } | Inst::CallInd { base } => vec![base],
-            Inst::CacheFlush { base, .. } => vec![base],
-            _ => vec![],
-        }
+    pub fn srcs(&self) -> Srcs {
+        let (regs, len) = match *self {
+            Inst::Alu { a, b, .. } | Inst::Branch { a, b, .. } => ([a, b], 2),
+            Inst::Store { src, base, .. } => ([src, base], 2),
+            Inst::AluImm { a: r, .. }
+            | Inst::Load { base: r, .. }
+            | Inst::JumpInd { base: r }
+            | Inst::CallInd { base: r }
+            | Inst::CacheFlush { base: r, .. } => ([r, 0], 1),
+            _ => ([0, 0], 0),
+        };
+        Srcs { regs, len }
     }
 
     /// Is this a control-flow instruction that can redirect fetch?
@@ -550,7 +567,8 @@ mod tests {
             b: 2,
         };
         assert_eq!(i.dst(), None, "r0 destination is discarded");
-        assert_eq!(i.srcs(), vec![REG_ZERO, 2], "r0 sources still listed");
+        assert_eq!(&i.srcs()[..], &[REG_ZERO, 2], "r0 sources still listed");
+        assert!(Inst::Halt.srcs().is_empty());
     }
 
     #[test]

@@ -6,8 +6,9 @@
 //! back here at retirement, so a squash can never corrupt architectural
 //! state.
 
-use crate::isa::{Inst, Width, NUM_REGS, REG_ZERO};
+use crate::isa::{Inst, Width, INST_BYTES, NUM_REGS, REG_ZERO};
 use std::collections::HashMap;
+use std::sync::Arc;
 
 /// Privilege mode.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -58,6 +59,13 @@ impl SparseMemory {
 
     /// Read a little-endian u64 (may straddle pages).
     pub fn read_u64(&self, addr: u64) -> u64 {
+        let off = (addr as usize) & (PAGE_SIZE - 1);
+        if off <= PAGE_SIZE - 8 {
+            // Within one page: one page lookup instead of eight.
+            return self.pages.get(&(addr >> PAGE_SHIFT)).map_or(0, |p| {
+                u64::from_le_bytes(p[off..off + 8].try_into().expect("8 bytes"))
+            });
+        }
         let mut bytes = [0u8; 8];
         for (i, b) in bytes.iter_mut().enumerate() {
             *b = self.read_u8(addr + i as u64);
@@ -67,6 +75,11 @@ impl SparseMemory {
 
     /// Write a little-endian u64.
     pub fn write_u64(&mut self, addr: u64, value: u64) {
+        let off = (addr as usize) & (PAGE_SIZE - 1);
+        if off <= PAGE_SIZE - 8 {
+            self.page_mut(addr)[off..off + 8].copy_from_slice(&value.to_le_bytes());
+            return;
+        }
         for (i, b) in value.to_le_bytes().iter().enumerate() {
             self.write_u8(addr + i as u64, *b);
         }
@@ -94,12 +107,76 @@ impl SparseMemory {
     }
 }
 
+/// A dense, read-only text image: one slot per instruction address from
+/// `base`, `None` for holes. Built once (the kernel image) and mapped by
+/// every machine that runs it through [`Machine::map_text`], behind an
+/// [`Arc`], instead of being copied into each machine.
+#[derive(Debug, Default)]
+pub struct TextTable {
+    base: u64,
+    slots: Vec<Option<Inst>>,
+    len: usize,
+}
+
+impl TextTable {
+    /// An empty table covering the addresses `[base, end)`.
+    pub fn new(base: u64, end: u64) -> Self {
+        let n = end.saturating_sub(base).div_ceil(INST_BYTES);
+        TextTable {
+            base,
+            slots: vec![None; n as usize],
+            len: 0,
+        }
+    }
+
+    /// Place `inst` at `addr`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `addr` is outside the table or misaligned, or already
+    /// holds an instruction.
+    pub fn insert(&mut self, addr: u64, inst: Inst) {
+        let slot = self
+            .slot(addr)
+            .unwrap_or_else(|| panic!("{addr:#x} is outside the text table"));
+        let prev = self.slots[slot].replace(inst);
+        assert!(prev.is_none(), "instruction at {addr:#x} placed twice");
+        self.len += 1;
+    }
+
+    fn slot(&self, addr: u64) -> Option<usize> {
+        let off = addr.checked_sub(self.base)?;
+        let slot = (off / INST_BYTES) as usize;
+        (off % INST_BYTES == 0 && slot < self.slots.len()).then_some(slot)
+    }
+
+    /// The instruction at `addr`, if any.
+    #[inline]
+    pub fn get(&self, addr: u64) -> Option<Inst> {
+        self.slot(addr).and_then(|s| self.slots[s])
+    }
+
+    /// Number of instructions.
+    pub fn len(&self) -> usize {
+        self.len
+    }
+
+    /// True when the table holds no instruction.
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+}
+
 /// The committed architectural state.
 #[derive(Debug)]
 pub struct Machine {
     regs: [u64; NUM_REGS],
     /// Data memory.
     pub mem: SparseMemory,
+    /// Read-only text shared with other machines (the kernel image).
+    shared_text: Arc<TextTable>,
+    /// This machine's own text (user and extension programs); no address
+    /// is in both layers.
     text: HashMap<u64, Inst>,
     /// Current privilege mode.
     pub mode: Mode,
@@ -125,6 +202,7 @@ impl Machine {
         Machine {
             regs: [0; NUM_REGS],
             mem: SparseMemory::new(),
+            shared_text: Arc::default(),
             text: HashMap::new(),
             mode: Mode::User,
             asid: 0,
@@ -159,29 +237,48 @@ impl Machine {
         r
     }
 
-    /// Install instructions into the text image.
+    /// Install instructions into this machine's own text.
     ///
     /// # Panics
     ///
     /// Panics if an address is already occupied by a *different*
-    /// instruction (overlapping identical installs are permitted so that
-    /// shared stubs can be loaded twice).
+    /// instruction, in either text layer (overlapping identical installs
+    /// are permitted so that shared stubs can be loaded twice).
     pub fn load_text(&mut self, insts: impl IntoIterator<Item = (u64, Inst)>) {
         for (addr, inst) in insts {
-            if let Some(prev) = self.text.insert(addr, inst) {
+            let prev = match self.shared_text.get(addr) {
+                Some(shared) => Some(shared),
+                None => self.text.insert(addr, inst),
+            };
+            if let Some(prev) = prev {
                 assert_eq!(prev, inst, "conflicting instruction at {addr:#x}");
             }
         }
     }
 
-    /// Fetch the instruction at `addr`, if mapped.
-    pub fn inst_at(&self, addr: u64) -> Option<Inst> {
-        self.text.get(&addr).copied()
+    /// Map a shared, read-only text table (a kernel image) under this
+    /// machine's own text.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless the machine holds no text yet: the layers stay
+    /// disjoint because [`Machine::load_text`] checks the table first.
+    pub fn map_text(&mut self, table: Arc<TextTable>) {
+        assert_eq!(self.text_len(), 0, "map the shared text before any other");
+        self.shared_text = table;
     }
 
-    /// Number of instructions in the text image.
+    /// Fetch the instruction at `addr`, if mapped.
+    #[inline]
+    pub fn inst_at(&self, addr: u64) -> Option<Inst> {
+        self.shared_text
+            .get(addr)
+            .or_else(|| self.text.get(&addr).copied())
+    }
+
+    /// Number of instructions in the text image, both layers.
     pub fn text_len(&self) -> usize {
-        self.text.len()
+        self.shared_text.len() + self.text.len()
     }
 }
 
@@ -243,5 +340,30 @@ mod tests {
             m.load_text([(0x0, Inst::Halt)]);
         }));
         assert!(result.is_err(), "conflicting install must panic");
+    }
+
+    #[test]
+    fn shared_text_is_a_second_layer() {
+        let mut table = TextTable::new(0x100, 0x110);
+        table.insert(0x100, Inst::Nop);
+        table.insert(0x108, Inst::Fence);
+        assert_eq!(table.len(), 2);
+
+        let mut m = Machine::new();
+        m.map_text(Arc::new(table));
+        m.load_text([(0x200, Inst::Halt), (0x108, Inst::Fence)]); // 0x108: identical to the table
+        assert_eq!(m.text_len(), 3, "both layers count, shared entries once");
+        assert_eq!(m.inst_at(0x108), Some(Inst::Fence));
+        assert_eq!(m.inst_at(0x200), Some(Inst::Halt));
+        assert_eq!(m.inst_at(0x104), None, "hole");
+        assert_eq!(m.inst_at(0x102), None, "misaligned");
+        assert_eq!(m.inst_at(0x110), None, "past the end");
+
+        for conflict in [(0x108, Inst::Halt), (0x200, Inst::Nop)] {
+            let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                m.load_text([conflict]);
+            }));
+            assert!(result.is_err(), "conflict at {:#x} must panic", conflict.0);
+        }
     }
 }

@@ -21,14 +21,15 @@
 
 use crate::config::CoreConfig;
 use crate::hooks::{HookAction, HookHandler};
-use crate::isa::{Inst, Width, INST_BYTES, NUM_REGS, REG_SYSNO};
+use crate::isa::{Inst, Srcs, Width, INST_BYTES, NUM_REGS, REG_SYSNO};
 use crate::machine::{Machine, Mode};
 use crate::policy::{BlockSource, LoadCtx, LoadDecision, SpecPolicy};
 use crate::predictor::{History, Predictors, Rsb};
 use crate::sni::{RetiredInst, SniChecker};
 use crate::stats::SimStats;
 use persp_mem::MemoryHierarchy;
-use std::collections::VecDeque;
+use std::cmp::Reverse;
+use std::collections::{BinaryHeap, VecDeque};
 
 /// Errors terminating a simulation.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -144,7 +145,7 @@ struct SrcDep {
 }
 
 /// The source operands of one instruction, inline (no instruction has
-/// more than two register sources — see [`Inst::srcs`]). `Copy` keeps
+/// more than two register sources — see [`Srcs`]). `Copy` keeps
 /// the execute stage's per-cycle operand gather allocation-free; a
 /// heap `Vec` here was the single hottest allocation in the simulator.
 #[derive(Debug, Clone, Copy)]
@@ -154,15 +155,14 @@ struct SrcList {
 }
 
 impl SrcList {
-    fn new(regs: &[u8], mut resolve: impl FnMut(u8) -> SrcDep) -> Self {
-        assert!(regs.len() <= 2, "at most two register sources");
+    fn new(regs: Srcs, mut resolve: impl FnMut(u8) -> SrcDep) -> Self {
         let empty = SrcDep {
             reg: 0,
             producer: None,
             snapshot: 0,
         };
         let mut deps = [empty; 2];
-        for (slot, &reg) in deps.iter_mut().zip(regs) {
+        for (slot, &reg) in deps.iter_mut().zip(regs.iter()) {
             *slot = resolve(reg);
         }
         SrcList {
@@ -187,18 +187,11 @@ struct RobEntry {
     computed: bool,
     value: u64,
     ready_at: u64,
-    /// Host-side retry hint: the earliest cycle a failed operand gather
-    /// can turn out differently (the failing producer's `ready_at`; or
-    /// `u64::MAX` while sleeping in that producer's `waiters` list until
-    /// it computes; or `now + 1` when no sound bound exists).
-    /// `try_compute` is provably a side-effect-free no-op before this
-    /// cycle, so the execute stage skips the attempt. Never influences
-    /// simulated behavior.
-    retry_at: u64,
     /// Host-side wakeup list: seqs of consumers whose operand gather is
-    /// asleep until this entry computes (`wake_waiters` resets their
-    /// `retry_at`). Capacity-bounded — consumers that don't fit keep
-    /// polling every cycle instead, so this is purely an acceleration.
+    /// asleep until this entry computes (`wake_waiters` schedules them
+    /// for this entry's `ready_at`). Capacity-bounded — consumers that
+    /// don't fit poll every cycle instead. Never influences simulated
+    /// behavior.
     waiters: [u64; 4],
     n_waiters: u8,
     /// Branch-like bookkeeping (conditional, indirect, return).
@@ -244,6 +237,69 @@ impl RobEntry {
 
 const DEADLOCK_WINDOW: u64 = 50_000;
 
+/// When a failed execute attempt is worth repeating (see
+/// [`Core::exec_stage`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Retry {
+    /// Only when something wakes it: it computed, it sleeps in a
+    /// producer's `waiters` list, or it is a load blocked until its VP
+    /// (where `vp_stage` issues it).
+    OnWake,
+    /// At this cycle.
+    At(u64),
+    /// When the oldest uncomputed store computes, in the same pass.
+    OnStore,
+}
+
+/// The execute stage's wake-driven scheduler and the ordered trackers
+/// behind its rolling flags. Host-side only: what it holds decides when
+/// an attempt is made, never what the attempt does. Squashed and
+/// committed seqs are dropped lazily (they no longer resolve in the ROB).
+#[derive(Debug, Default)]
+struct Sched {
+    /// Attempts due, keyed by (cycle, seq).
+    due: BinaryHeap<Reverse<(u64, u64)>>,
+    /// The current pass, in seq order.
+    pass: BinaryHeap<Reverse<u64>>,
+    /// Loads waiting for the oldest uncomputed store to compute.
+    behind_store: BinaryHeap<Reverse<u64>>,
+    /// Entries waiting for the oldest fence to commit.
+    behind_fence: BinaryHeap<Reverse<u64>>,
+    /// Control entries (`can_mispredict`) in the ROB, ascending;
+    /// resolved ones leave from the front.
+    controls: VecDeque<u64>,
+    /// Fences in the ROB, ascending.
+    fences: VecDeque<u64>,
+    /// Stores in the ROB, ascending; computed ones leave from the front.
+    stores: VecDeque<u64>,
+    /// Computed, mispredicted, not yet squashed entries as
+    /// `(seq, ready_at)`, ascending by seq.
+    mispredicts: Vec<(u64, u64)>,
+}
+
+impl Sched {
+    fn at(&mut self, cycle: u64, seq: u64) {
+        self.due.push(Reverse((cycle, seq)));
+    }
+
+    fn note_mispredict(&mut self, seq: u64, ready_at: u64) {
+        let k = self.mispredicts.partition_point(|&(s, _)| s < seq);
+        self.mispredicts.insert(k, (seq, ready_at));
+    }
+
+    /// A squash by `seq`: forget every tracked entry younger than it,
+    /// and `seq` itself as a pending mispredict.
+    fn squash_by(&mut self, seq: u64) {
+        for q in [&mut self.controls, &mut self.fences, &mut self.stores] {
+            while q.back().is_some_and(|&s| s > seq) {
+                q.pop_back();
+            }
+        }
+        let k = self.mispredicts.partition_point(|&(s, _)| s < seq);
+        self.mispredicts.truncate(k);
+    }
+}
+
 /// One stall-attribution class (mirrors the fields of
 /// [`crate::stats::StallBreakdown`]); the classification half of stall
 /// accounting, factored out so the idle fast-forward can attribute a
@@ -274,15 +330,7 @@ pub struct Core {
     hooks: Box<dyn HookHandler>,
 
     rob: VecDeque<RobEntry>,
-    /// Sequence numbers (ascending) of ROB entries the execute stage
-    /// still has to look at. Entries leave the list once *settled* —
-    /// computed with their result ready and unable to affect any
-    /// younger instruction — so the per-cycle execute scan touches only
-    /// the in-flight frontier instead of the whole ROB. Committed and
-    /// squashed entries are dropped lazily (their seq no longer
-    /// resolves). Purely a host-side acceleration: membership never
-    /// influences simulated behavior.
-    exec_active: VecDeque<u64>,
+    sched: Sched,
     /// Mirror of `rob`'s sequence numbers, maintained at every ROB
     /// push/pop. `index_of_seq` binary-searches this dense array instead
     /// of probing the wide `RobEntry`s — seq lookup is the single
@@ -344,7 +392,7 @@ impl Core {
             policy,
             hooks,
             rob: VecDeque::new(),
-            exec_active: VecDeque::new(),
+            sched: Sched::default(),
             rob_seqs: VecDeque::new(),
             next_seq: 0,
             now: 0,
@@ -437,24 +485,7 @@ impl Core {
     pub fn run(&mut self, entry: u64, max_cycles: u64) -> Result<RunSummary, SimError> {
         let start_stats = self.stats;
         let start_cycle = self.now;
-        self.rob.clear();
-        self.rob_seqs.clear();
-        self.exec_active.clear();
-        self.halted = false;
-        self.fetch_pc = entry;
-        self.fetch_stall_until = self.now;
-        self.squash_redirect_until = self.now;
-        self.fetch_halted = false;
-        self.fetch_wait_indirect = None;
-        self.last_fetch_line = u64::MAX;
-        self.rename = [None; NUM_REGS];
-        self.spec_stack = self.machine.call_stack.clone();
-        self.lq_used = 0;
-        self.sq_used = 0;
-        self.last_commit_cycle = self.now;
-        if let Some(sni) = self.sni.as_mut() {
-            sni.on_run_start(entry);
-        }
+        self.begin_run(entry);
 
         while !self.halted {
             if self.now - start_cycle > max_cycles {
@@ -475,6 +506,29 @@ impl Core {
         Ok(RunSummary {
             stats: self.stats.delta_since(&start_stats),
         })
+    }
+
+    /// Reset the pipeline (ROB, front end, rename and queue state) to
+    /// start fetching at `entry`.
+    fn begin_run(&mut self, entry: u64) {
+        self.rob.clear();
+        self.rob_seqs.clear();
+        self.sched = Sched::default();
+        self.halted = false;
+        self.fetch_pc = entry;
+        self.fetch_stall_until = self.now;
+        self.squash_redirect_until = self.now;
+        self.fetch_halted = false;
+        self.fetch_wait_indirect = None;
+        self.last_fetch_line = u64::MAX;
+        self.rename = [None; NUM_REGS];
+        self.spec_stack = self.machine.call_stack.clone();
+        self.lq_used = 0;
+        self.sq_used = 0;
+        self.last_commit_cycle = self.now;
+        if let Some(sni) = self.sni.as_mut() {
+            sni.on_run_start(entry);
+        }
     }
 
     fn step(&mut self) -> Result<(), SimError> {
@@ -512,18 +566,19 @@ impl Core {
     }
 
     /// Is the source value available at cycle `now`? Returns
-    /// `(ready, value, ready_at, taint)`.
-    fn src_status(&self, dep: &SrcDep) -> Option<(u64, u64, TaintSet)> {
+    /// `(value, taint)`, or the ROB index of the producer whose result
+    /// is not ready yet.
+    fn src_status(&self, dep: &SrcDep) -> Result<(u64, TaintSet), usize> {
         match dep.producer {
-            None => Some((dep.snapshot, 0, TaintSet::default())),
+            None => Ok((dep.snapshot, TaintSet::default())),
             Some(seq) => match self.index_of_seq(seq) {
-                None => Some((self.machine.reg(dep.reg), 0, TaintSet::default())),
+                None => Ok((self.machine.reg(dep.reg), TaintSet::default())),
                 Some(idx) => {
                     let p = &self.rob[idx];
                     if p.computed && p.ready_at <= self.now {
-                        Some((p.value, p.ready_at, p.taint))
+                        Ok((p.value, p.taint))
                     } else {
-                        None
+                        Err(idx)
                     }
                 }
             },
@@ -543,126 +598,153 @@ impl Core {
 
     // ----- execute ------------------------------------------------------
 
-    /// Walks the in-flight frontier (see `exec_active`) in program
-    /// order, oldest first. Behaviorally identical to scanning the whole
-    /// ROB: a *settled* entry — computed, result ready, not a fence —
-    /// can never recompute (`computed` is sticky and `ready_at` is only
-    /// written on the not-computed → computed transition) and
-    /// contributes nothing to any of the three rolling ordering flags,
-    /// so dropping it from the scan is invisible to the simulation.
-    fn exec_stage(&mut self) {
-        let mut older_unresolved_branch = false;
-        let mut older_uncommitted_fence = false;
-        let mut older_store_addr_unknown = false;
+    /// Oldest control entry that could still redirect or squash younger
+    /// instructions (`u64::MAX` if none). Resolution is permanent, so
+    /// resolved entries leave the tracker for good.
+    fn oldest_unresolved_control(&mut self) -> u64 {
+        while let Some(&seq) = self.sched.controls.front() {
+            match self.index_of_seq(seq) {
+                Some(i) if self.rob[i].unresolved_at(self.now) => return seq,
+                _ => {
+                    self.sched.controls.pop_front();
+                }
+            }
+        }
+        u64::MAX
+    }
 
-        let mut active = std::mem::take(&mut self.exec_active);
-        let mut keep = 0;
-        for k in 0..active.len() {
-            let seq = active[k];
-            // Committed and squashed entries fall off the list here.
+    /// Oldest store whose address is still unknown (`u64::MAX` if none).
+    fn oldest_uncomputed_store(&mut self) -> u64 {
+        while let Some(&seq) = self.sched.stores.front() {
+            match self.index_of_seq(seq) {
+                Some(i) if !self.rob[i].computed => return seq,
+                _ => {
+                    self.sched.stores.pop_front();
+                }
+            }
+        }
+        u64::MAX
+    }
+
+    /// Attempts, in program order, every entry due this cycle. An entry
+    /// is due only in a cycle where its attempt can change something;
+    /// otherwise it sleeps on what it waits for (see [`Retry`]), so the
+    /// pass never re-walks waiting entries. The outcome equals
+    /// attempting every uncomputed entry each cycle: a skipped attempt
+    /// is one that would have changed nothing.
+    ///
+    /// An entry is attempted with three flags, each "some older entry
+    /// is …", read from the ordered trackers in [`Sched`]:
+    /// - an unresolved control entry (the attempt is speculative);
+    /// - a fence (no attempt until the fence commits);
+    /// - a store with an unknown address (loads wait: conservative
+    ///   memory disambiguation).
+    ///
+    /// The first two cannot change within the pass — every compute here
+    /// sets `ready_at > now`, and fences leave only at commit. The third
+    /// can: when the oldest uncomputed store computes, the loads it held
+    /// are attempted later in the same pass, as they are younger.
+    fn exec_stage(&mut self) {
+        let now = self.now;
+        let oldest_unresolved = self.oldest_unresolved_control();
+        let oldest_fence = self.sched.fences.front().copied().unwrap_or(u64::MAX);
+        let mut oldest_store = self.oldest_uncomputed_store();
+        while let Some(&Reverse((t, seq))) = self.sched.due.peek() {
+            if t > now {
+                break;
+            }
+            self.sched.due.pop();
+            self.sched.pass.push(Reverse(seq));
+        }
+        let mut last = None;
+        while let Some(Reverse(seq)) = self.sched.pass.pop() {
+            // Squashed and committed entries no longer resolve; a
+            // polling load may have been issued by `vp_stage` meanwhile.
             let Some(i) = self.index_of_seq(seq) else {
                 continue;
             };
-            {
-                let e = &self.rob[i];
-                if e.computed && e.ready_at <= self.now && !matches!(e.inst, Inst::Fence) {
-                    continue; // settled — permanently inert to this stage
+            debug_assert!(last < Some(seq), "each entry is attempted once, in order");
+            last = Some(seq);
+            if self.rob[i].computed {
+                continue;
+            }
+            debug_assert!(self.rob[i].fetch_ready <= now);
+            if seq > oldest_fence {
+                self.sched.behind_fence.push(Reverse(seq));
+                continue;
+            }
+            match self.try_compute(i, seq > oldest_unresolved, seq > oldest_store) {
+                Retry::OnWake => {}
+                Retry::At(t) => self.sched.at(t, seq),
+                Retry::OnStore => self.sched.behind_store.push(Reverse(seq)),
+            }
+            if seq == oldest_store && self.rob[i].computed {
+                oldest_store = self.oldest_uncomputed_store();
+                while let Some(&Reverse(load)) = self.sched.behind_store.peek() {
+                    if load > oldest_store {
+                        break;
+                    }
+                    self.sched.behind_store.pop();
+                    self.sched.pass.push(Reverse(load));
                 }
             }
-            let (computed, fetch_ready, retry_at, inst) = {
-                let e = &self.rob[i];
-                (e.computed, e.fetch_ready, e.retry_at, e.inst)
-            };
-
-            if !computed
-                && !inst.is_serializing()
-                && !older_uncommitted_fence
-                && fetch_ready <= self.now
-                && retry_at <= self.now
-            {
-                self.try_compute(i, older_unresolved_branch, older_store_addr_unknown);
-            }
-
-            let e = &self.rob[i];
-            if e.unresolved_at(self.now) {
-                older_unresolved_branch = true;
-            }
-            if matches!(e.inst, Inst::Fence) {
-                older_uncommitted_fence = true;
-            }
-            if e.is_store() && !e.computed {
-                older_store_addr_unknown = true;
-            }
-            active[keep] = seq;
-            keep += 1;
         }
-        active.truncate(keep);
-        self.exec_active = active;
     }
 
-    fn try_compute(&mut self, i: usize, speculative: bool, older_store_addr_unknown: bool) {
+    fn try_compute(
+        &mut self,
+        i: usize,
+        speculative: bool,
+        older_store_addr_unknown: bool,
+    ) -> Retry {
         // Gather sources (SrcList is Copy — no per-attempt allocation).
         let deps = self.rob[i].srcs;
         let mut vals = [0u64; 2];
         let mut nvals = 0;
-        let mut src_ready = 0u64;
         let mut taint = TaintSet::default();
         let mut bumped = false;
         for dep in deps.as_slice() {
             match self.src_status(dep) {
-                Some((v, r, t)) => {
+                Ok((v, t)) => {
                     vals[nvals] = v;
                     nvals += 1;
-                    src_ready = src_ready.max(r);
                     if taint.merge(&t) {
                         // Counted even if a later operand turns out not
-                        // ready, so the bump can repeat across cycles:
-                        // a counter mutation the fast-forward must not
-                        // skip over.
+                        // ready, so the bump repeats every cycle the
+                        // attempt does.
                         self.stats.taint_roots_overflow += 1;
                         self.made_progress = true;
                         bumped = true;
                     }
                 }
-                None => {
-                    // Operands not ready. Leave a retry hint so the
-                    // execute stage stops re-running this gather every
-                    // cycle: until the failing producer's result is
-                    // ready nothing observable can change — the deps
-                    // ahead of it are ready (their values, and whether
-                    // their merge bumps the overflow counter, are fixed
-                    // for the whole wait), and this attempt bumped
-                    // nothing. When it *did* bump (a saturated source
-                    // taint), the bump must repeat every cycle, so no
-                    // skip is allowed; same when the producer itself is
-                    // not yet computed (its finish time is unknown).
+                Err(p) => {
+                    // Operands not ready. Until the failing producer's
+                    // result is ready nothing observable can change: the
+                    // deps ahead of it are ready, and their values and
+                    // whether their merge bumps the overflow counter are
+                    // fixed for the whole wait. A bump must repeat every
+                    // cycle, though, so a bumping attempt retries next
+                    // cycle.
+                    if bumped {
+                        return Retry::At(self.now + 1);
+                    }
+                    if self.rob[p].computed {
+                        return Retry::At(self.rob[p].ready_at);
+                    }
+                    // The producer hasn't computed, so no finish time
+                    // exists yet: sleep in its waiter list until its
+                    // compute site wakes us (poll if the list is full).
+                    // The producer is strictly older, so any squash that
+                    // kills it kills this entry too — a sleeper can't be
+                    // stranded.
                     let my_seq = self.rob[i].seq;
-                    self.rob[i].retry_at = if bumped {
-                        self.now + 1
-                    } else {
-                        match dep.producer.and_then(|s| self.index_of_seq(s)) {
-                            Some(p) if self.rob[p].computed => self.rob[p].ready_at,
-                            Some(p) => {
-                                // The producer hasn't even computed, so no
-                                // finish time exists yet: sleep in its
-                                // waiter list until its compute site wakes
-                                // us (fall back to polling if the list is
-                                // full). The producer is strictly older,
-                                // so any squash that kills it kills this
-                                // entry too — a sleeper can't be stranded.
-                                let q = &mut self.rob[p];
-                                if (q.n_waiters as usize) < q.waiters.len() {
-                                    q.waiters[q.n_waiters as usize] = my_seq;
-                                    q.n_waiters += 1;
-                                    u64::MAX
-                                } else {
-                                    self.now + 1
-                                }
-                            }
-                            None => self.now + 1,
-                        }
-                    };
-                    return;
+                    let q = &mut self.rob[p];
+                    if (q.n_waiters as usize) < q.waiters.len() {
+                        q.waiters[q.n_waiters as usize] = my_seq;
+                        q.n_waiters += 1;
+                        return Retry::OnWake;
+                    }
+                    return Retry::At(self.now + 1);
                 }
             }
         }
@@ -718,10 +800,6 @@ impl Core {
                 }
             }
             Inst::Store { width, .. } => {
-                if older_store_addr_unknown {
-                    // In-order address computation for stores keeps
-                    // forwarding precise; nothing to do this cycle.
-                }
                 let e = &mut self.rob[i];
                 e.store_val = vals[0];
                 e.addr = vals[1].wrapping_add(store_offset(&inst) as u64);
@@ -735,7 +813,11 @@ impl Core {
                 // Memory disambiguation: conservative — wait while any older
                 // store address is unknown.
                 if older_store_addr_unknown {
-                    return;
+                    return if bumped {
+                        Retry::At(self.now + 1)
+                    } else {
+                        Retry::OnStore
+                    };
                 }
                 // Store-to-load forwarding from the youngest matching older
                 // store; overlap without exact match stalls until it drains.
@@ -758,7 +840,7 @@ impl Core {
                     }
                 }
                 if must_wait {
-                    return;
+                    return Retry::At(self.now + 1);
                 }
                 if let Some((v, t)) = forward {
                     let e = &mut self.rob[i];
@@ -769,23 +851,20 @@ impl Core {
                     e.taint = t;
                     e.computed = true;
                     e.issued_mem = false;
-                    self.made_progress = true;
-                    self.wake_waiters(i);
-                    return;
-                }
-                // Policy gate.
-                let tainted_addr = self.taint_active(&taint, speculative) && speculative;
-                let ctx = LoadCtx {
-                    pc,
-                    addr,
-                    mode: self.machine.mode,
-                    asid: self.machine.asid,
-                    speculative,
-                    tainted_addr,
-                    l1_hit: self.mem.probe_l1d(addr),
-                    cur_sysno: self.machine.cur_sysno,
-                };
-                if self.rob[i].blocked.is_none() {
+                } else if self.rob[i].blocked.is_none() {
+                    // Policy gate. A blocked load is issued by `vp_stage`
+                    // once safe.
+                    let tainted_addr = self.taint_active(&taint, speculative) && speculative;
+                    let ctx = LoadCtx {
+                        pc,
+                        addr,
+                        mode: self.machine.mode,
+                        asid: self.machine.asid,
+                        speculative,
+                        tainted_addr,
+                        l1_hit: self.mem.probe_l1d(addr),
+                        cur_sysno: self.machine.cur_sysno,
+                    };
                     match self.policy.check_load(&ctx) {
                         LoadDecision::Allow => {
                             if speculative {
@@ -799,7 +878,7 @@ impl Core {
                                     );
                                 }
                             }
-                            self.issue_load(i, addr, width, taint, speculative, src_ready);
+                            self.issue_load(i, addr, width, taint, speculative);
                         }
                         LoadDecision::BlockUntilVp(src) => {
                             let e = &mut self.rob[i];
@@ -814,7 +893,6 @@ impl Core {
                         }
                     }
                 }
-                // Blocked loads are re-issued by `vp_stage` once safe.
             }
             Inst::CacheFlush { offset, .. } => {
                 let addr = vals[0].wrapping_add(offset as u64);
@@ -843,33 +921,36 @@ impl Core {
             // Serializing instructions are computed at the ROB head.
             _ => {}
         }
-        // Every arm that fired set `computed` (directly or via
-        // `issue_load`, which flags progress itself); the blocked-load
-        // arm flagged it explicitly above.
         if self.rob[i].computed {
             self.made_progress = true;
             self.wake_waiters(i);
+            let e = &self.rob[i];
+            if e.mispred {
+                let (seq, ready_at) = (e.seq, e.ready_at);
+                self.sched.note_mispredict(seq, ready_at);
+            }
+            Retry::OnWake
+        } else if bumped {
+            Retry::At(self.now + 1)
+        } else {
+            // A load blocked until its VP: nothing changes until
+            // `vp_stage` issues it.
+            Retry::OnWake
         }
     }
 
     /// Wake consumers sleeping on entry `i`'s result (see
-    /// `RobEntry::waiters`): reset their gather-retry hint to this
+    /// `RobEntry::waiters`): schedule their next attempt for this
     /// entry's `ready_at`, the first cycle the operand can be read.
-    /// Must be called at every `computed` transition; entries that have
-    /// since left the ROB (squashed — a sleeper is always younger than
-    /// its producer) no longer resolve and are skipped.
+    /// Must be called at every `computed` transition. A sleeper squashed
+    /// since (it is always younger than its producer) no longer resolves
+    /// when its turn comes, and is skipped then.
     fn wake_waiters(&mut self, i: usize) {
-        let n = self.rob[i].n_waiters as usize;
-        if n == 0 {
-            return;
-        }
-        let ready_at = self.rob[i].ready_at;
-        let ws = self.rob[i].waiters;
-        self.rob[i].n_waiters = 0;
-        for &w in &ws[..n] {
-            if let Some(j) = self.index_of_seq(w) {
-                self.rob[j].retry_at = ready_at;
-            }
+        let e = &mut self.rob[i];
+        let n = e.n_waiters as usize;
+        e.n_waiters = 0;
+        for &w in &e.waiters[..n] {
+            self.sched.at(e.ready_at, w);
         }
     }
 
@@ -880,7 +961,6 @@ impl Core {
         width: Width,
         mut taint: TaintSet,
         speculative: bool,
-        _src_ready: u64,
     ) {
         let (lat, _level) = self.mem.read_classified(addr);
         let value = self.machine.mem.read(addr, width);
@@ -906,13 +986,22 @@ impl Core {
 
     // ----- squash -------------------------------------------------------
 
+    /// Squash behind the oldest computed mispredict whose result is
+    /// ready, if any (at most one per cycle).
     fn squash_stage(&mut self) {
-        let Some(i) = (0..self.rob.len()).find(|&i| {
-            let e = &self.rob[i];
-            e.computed && e.ready_at <= self.now && e.mispred && !e.squash_done
-        }) else {
+        let now = self.now;
+        let Some(&(seq, _)) = self
+            .sched
+            .mispredicts
+            .iter()
+            .find(|&&(_, ready_at)| ready_at <= now)
+        else {
             return;
         };
+        self.sched.squash_by(seq);
+        let i = self
+            .index_of_seq(seq)
+            .expect("a pending mispredict is in the ROB");
         self.made_progress = true;
 
         // Restore front-end state from the mispredicting entry's snapshots.
@@ -976,47 +1065,37 @@ impl Core {
 
     // ----- visibility points ---------------------------------------------
 
+    /// Issue policy-blocked loads and notify the policy of loads that
+    /// reached their visibility point: every entry up to and including
+    /// the oldest unresolved control entry.
     fn vp_stage(&mut self) {
-        let mut older_can_squash = false;
         for i in 0..self.rob.len() {
-            let at_vp = !older_can_squash;
-            if at_vp {
-                let needs_issue = {
-                    let e = &self.rob[i];
-                    e.is_load() && e.blocked.is_some()
+            let e = &self.rob[i];
+            if e.is_load() && e.blocked.is_some() {
+                let (addr, width, taint) = (e.addr, e.width, e.taint);
+                self.issue_load(i, addr, width, taint, false);
+            }
+            let e = &self.rob[i];
+            if e.is_load() && e.computed && e.issued_mem && !e.vp_notified {
+                let ctx = LoadCtx {
+                    pc: e.pc,
+                    addr: e.addr,
+                    mode: self.machine.mode,
+                    asid: self.machine.asid,
+                    speculative: false,
+                    tainted_addr: false,
+                    l1_hit: true,
+                    cur_sysno: self.machine.cur_sysno,
                 };
-                if needs_issue {
-                    let (addr, width, taint) = {
-                        let e = &self.rob[i];
-                        (e.addr, e.width, e.taint)
-                    };
-                    self.issue_load(i, addr, width, taint, false, 0);
-                }
-                let notify = {
-                    let e = &self.rob[i];
-                    e.is_load() && e.computed && e.issued_mem && !e.vp_notified
-                };
-                if notify {
-                    let e = &self.rob[i];
-                    let ctx = LoadCtx {
-                        pc: e.pc,
-                        addr: e.addr,
-                        mode: self.machine.mode,
-                        asid: self.machine.asid,
-                        speculative: false,
-                        tainted_addr: false,
-                        l1_hit: true,
-                        cur_sysno: self.machine.cur_sysno,
-                    };
-                    self.policy.on_load_vp(&ctx);
-                    self.rob[i].vp_notified = true;
-                    // The VP notification mutates policy-side state
-                    // (metadata-cache LRU commits, fence counters).
-                    self.made_progress = true;
-                }
+                self.policy.on_load_vp(&ctx);
+                self.rob[i].vp_notified = true;
+                // The VP notification mutates policy-side state
+                // (metadata-cache LRU commits, fence counters).
+                self.made_progress = true;
             }
             if self.rob[i].unresolved_at(self.now) {
-                older_can_squash = true;
+                // No younger entry is at its VP.
+                break;
             }
         }
     }
@@ -1227,6 +1306,20 @@ impl Core {
                     self.lq_used -= 1;
                     self.stats.committed_loads += 1;
                 }
+                Inst::Fence => {
+                    let oldest = self.sched.fences.pop_front();
+                    debug_assert_eq!(oldest, Some(entry.seq));
+                    // Entries between this fence and the next may now
+                    // execute.
+                    let next = self.sched.fences.front().copied().unwrap_or(u64::MAX);
+                    while let Some(&Reverse(seq)) = self.sched.behind_fence.peek() {
+                        if seq > next {
+                            break;
+                        }
+                        self.sched.behind_fence.pop();
+                        self.sched.at(self.now + 1, seq);
+                    }
+                }
                 Inst::Branch { .. } => {
                     self.stats.committed_branches += 1;
                     self.pred
@@ -1324,9 +1417,7 @@ impl Core {
             let Some(inst) = self.machine.inst_at(pc) else {
                 // Wrong-path fetch into unmapped memory simply stalls the
                 // front-end until the squash redirects it. On the committed
-                // path this is a real fault.
-                // Wrong-path fetches stall until the squash redirects;
-                // an empty ROB means the committed path itself is bad.
+                // path (an empty ROB) this is a real fault.
                 if !self.rob.is_empty() {
                     return Ok(());
                 }
@@ -1373,7 +1464,7 @@ impl Core {
         let seq = self.next_seq;
         self.next_seq += 1;
 
-        let srcs = SrcList::new(&inst.srcs(), |reg| {
+        let srcs = SrcList::new(inst.srcs(), |reg| {
             let producer = self.rename[reg as usize];
             let snapshot = if producer.is_none() {
                 self.machine.reg(reg)
@@ -1397,7 +1488,6 @@ impl Core {
             computed: false,
             value: 0,
             ready_at: u64::MAX,
-            retry_at: 0,
             waiters: [0; 4],
             n_waiters: 0,
             can_mispredict: false,
@@ -1519,9 +1609,23 @@ impl Core {
         if let Some(dst) = inst.dst() {
             self.rename[dst as usize] = Some(seq);
         }
+        if entry.can_mispredict {
+            self.sched.controls.push_back(seq);
+        }
+        match inst {
+            Inst::Fence => self.sched.fences.push_back(seq),
+            Inst::Store { .. } => self.sched.stores.push_back(seq),
+            _ => {}
+        }
+        if entry.computed {
+            if entry.mispred {
+                self.sched.note_mispredict(seq, entry.ready_at);
+            }
+        } else if !inst.is_serializing() {
+            self.sched.at(fetch_ready, seq);
+        }
         self.rob.push_back(entry);
         self.rob_seqs.push_back(seq);
-        self.exec_active.push_back(seq);
     }
 }
 
@@ -1941,4 +2045,170 @@ mod tests {
         );
         assert!(core.policy().counters().blocked_fence > 0);
     }
+
+    // ----- wake rules ---------------------------------------------------
+    //
+    // The execute stage attempts an instruction only when the attempt can
+    // change something. These tests pin, cycle for cycle, the moments the
+    // wake rules must hit. The expected cycles are those of a stage that
+    // re-attempts every waiting entry every cycle, the reference the
+    // wake rules must reproduce.
+
+    /// One step-by-step run from `entry` until `Halt` commits. Returns,
+    /// per watched pc, the cycle its entry computed, and the cycles in
+    /// which `taint_roots_overflow` was bumped (with the bump count).
+    fn stepped_run(core: &mut Core, entry: u64, watch: &[u64]) -> (Vec<u64>, Vec<(u64, u64)>) {
+        let mut computed = vec![u64::MAX; watch.len()];
+        let mut bumps = Vec::new();
+        core.begin_run(entry);
+        while !core.halted {
+            let (now, before) = (core.now, core.stats.taint_roots_overflow);
+            core.step().expect("steps");
+            let after = core.stats.taint_roots_overflow;
+            if after != before {
+                bumps.push((now, after - before));
+            }
+            for (slot, &pc) in computed.iter_mut().zip(watch) {
+                let hit = core.rob.iter().any(|e| e.pc == pc && e.computed);
+                if *slot == u64::MAX && hit {
+                    *slot = now;
+                }
+            }
+            assert!(core.now < 100_000, "program did not halt");
+        }
+        (computed, bumps)
+    }
+
+    fn core_with_policy(text: Vec<(u64, Inst)>, policy: Box<dyn SpecPolicy>) -> Core {
+        let mut machine = Machine::new();
+        machine.load_text(text);
+        Core::new(
+            CoreConfig::paper_default(),
+            machine,
+            MemoryHierarchy::new(HierarchyConfig::paper_default()),
+            policy,
+            Box::new(NullHooks),
+        )
+    }
+
+    #[test]
+    fn load_behind_unknown_store_executes_in_the_stores_cycle() {
+        // The store's address comes from a cold load; the younger load's
+        // address is ready at once, but disambiguation holds it until
+        // the store computes — and then it must go in the same pass.
+        let mut a = Assembler::new(0x1000);
+        a.movi(1, 0x8000);
+        a.movi(5, 0xA000);
+        a.load(2, 1, 0); // r2 = store address (cold miss)
+        let store = a.store(0, 2, 0);
+        let load = a.load(4, 5, 0);
+        a.push(Inst::Halt);
+        let mut core = core_with(a.finish());
+        core.machine.mem.write_u64(0x8000, 0xC000);
+        let (computed, _) = stepped_run(&mut core, 0x1000, &[store, load]);
+        assert_eq!(computed[1], computed[0], "same-cycle wake");
+        assert_eq!(computed, [WAKE_A_STORE, WAKE_A_STORE]);
+    }
+
+    #[test]
+    fn policy_blocked_load_issues_exactly_at_its_vp() {
+        use crate::policy::FencePolicy;
+        // A branch waiting on a cold load keeps the younger load
+        // speculative; FENCE blocks it until the branch resolves. The
+        // branch targets its own fall-through, so it never mispredicts.
+        let mut a = Assembler::new(0x1000);
+        a.movi(1, 0x8000);
+        a.movi(5, 0xA000);
+        a.load(2, 1, 0);
+        let branch = a.here();
+        a.branch_to(Cond::Eq, 2, 0, branch + INST_BYTES);
+        let load = a.load(4, 5, 0);
+        a.push(Inst::Halt);
+        let mut core = core_with_policy(a.finish(), Box::new(FencePolicy::new()));
+        let (computed, _) = stepped_run(&mut core, 0x1000, &[branch, load]);
+        let vp = computed[0] + core.cfg.branch_resolve_latency;
+        assert_eq!(computed[1], vp, "issued at the branch's resolution");
+        assert_eq!(computed, [WAKE_B_BRANCH, WAKE_B_VP]);
+        assert_eq!(core.stats.loads_fenced, 1, "blocked once, not re-checked");
+    }
+
+    #[test]
+    fn saturated_taint_source_bumps_overflow_once_per_polled_cycle() {
+        // Five speculative loads (under a slow, never-mispredicting
+        // branch) are summed into r9, whose taint saturates. A younger
+        // load reading r9 sits behind a store whose address is two cold
+        // loads away; every cycle it re-gathers r9 it bumps the overflow
+        // counter, until the store computes and lets it issue.
+        let mut a = Assembler::new(0x1000);
+        a.movi(1, 0x8000);
+        a.load(2, 1, 0); // cold
+        a.load(11, 2, 0); // cold, dependent: holds the ROB head
+        let branch = a.here();
+        a.branch_to(Cond::Eq, 2, 0, branch + INST_BYTES);
+        a.movi(3, 0x20000);
+        for (k, dst) in [4u8, 5, 6, 7, 8].into_iter().enumerate() {
+            a.load(dst, 3, 64 * k as i64);
+        }
+        a.alu(AluOp::Add, 9, 4, 5);
+        a.alu(AluOp::Add, 9, 9, 6);
+        a.alu(AluOp::Add, 9, 9, 7);
+        a.alu(AluOp::Add, 9, 9, 8); // fifth root: saturates (one bump)
+        let store = a.store(0, 11, 0);
+        let load = a.load(12, 9, 0);
+        a.push(Inst::Halt);
+        let mut core = core_with(a.finish());
+        core.machine.mem.write_u64(0x8000, 0x9000);
+        core.machine.mem.write_u64(0x9000, 0xC000);
+        let (computed, bumps) = stepped_run(&mut core, 0x1000, &[store, load]);
+        assert_eq!(computed, [WAKE_C_STORE, WAKE_C_STORE]);
+        assert!(bumps.iter().all(|&(_, n)| n == 1), "{bumps:?}");
+        let polled: Vec<u64> = bumps.iter().skip(1).map(|&(c, _)| c).collect();
+        let expected: Vec<u64> = (WAKE_C_FIRST_POLL..=WAKE_C_STORE).collect();
+        assert_eq!(
+            polled, expected,
+            "one bump per cycle, through the store's cycle"
+        );
+        assert_eq!(core.stats.taint_roots_overflow, 1 + expected.len() as u64);
+    }
+
+    #[test]
+    fn squash_takes_the_oldest_of_two_ready_mispredicts() {
+        // Both branches are predicted taken (cold counters), both are
+        // actually not taken, and both read the same cold load — so they
+        // resolve in the same cycle. The second sits on the first one's
+        // predicted path: squashing the older one removes the younger.
+        let mut a = Assembler::new(0x1000);
+        a.movi(1, 0x8000);
+        a.load(2, 1, 0);
+        let first = a.branch_to(Cond::Eq, 2, 0, 0x3000);
+        a.movi(6, 1);
+        a.push(Inst::Halt);
+        let mut text = a.finish();
+        let mut b = Assembler::new(0x3000);
+        let second = b.branch_to(Cond::Eq, 2, 0, 0x4000);
+        b.push(Inst::Halt);
+        text.extend(b.finish());
+        text.push((0x4000, Inst::Halt));
+        let mut core = core_with(text);
+        core.machine.mem.write_u64(0x8000, 7);
+        let (computed, _) = stepped_run(&mut core, 0x1000, &[first, second]);
+        assert_eq!(computed[0], computed[1], "both resolve together");
+        assert_eq!(computed, [WAKE_D_BRANCH, WAKE_D_BRANCH]);
+        assert_eq!(
+            core.stats.squashes, 1,
+            "the older squash removed the younger"
+        );
+        assert_eq!(
+            core.machine.reg(6),
+            1,
+            "execution resumed on the older's path"
+        );
+    }
+
+    const WAKE_A_STORE: u64 = 226;
+    const WAKE_B_BRANCH: u64 = 226;
+    const WAKE_B_VP: u64 = 230;
+    const WAKE_C_STORE: u64 = 336;
+    const WAKE_C_FIRST_POLL: u64 = 230;
+    const WAKE_D_BRANCH: u64 = 226;
 }
